@@ -45,15 +45,18 @@ Result<DynamicReducedIndex> DynamicReducedIndex::Build(
   if (!pipeline.ok()) return pipeline.status();
 
   const size_t n = dataset.NumRecords();
-  const size_t reduced_dims = pipeline->ReducedDims();
-  Matrix reduced(n, reduced_dims);
+  Matrix reduced(n, pipeline->ReducedDims());
+  double error_sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    reduced.SetRow(i, pipeline->TransformPoint(dataset.Record(i)));
+    const ProjectedRecord projected = Project(*pipeline, dataset.Record(i));
+    reduced.SetRow(i, projected.reduced);
+    error_sum += projected.error_sq;
   }
 
   auto snapshot = std::make_shared<EngineSnapshot>();
   snapshot->metric = MakeMetric(options.metric, options.metric_p);
-  snapshot->originals = dataset.features();
+  snapshot->originals =
+      std::make_shared<const BlockedMatrix>(dataset.features());
   if (dataset.HasLabels()) {
     snapshot->labels = dataset.labels();
   } else {
@@ -67,11 +70,6 @@ Result<DynamicReducedIndex> DynamicReducedIndex::Build(
   snapshot->shards.push_back(std::move(shard));
 
   index.writer_->fitted_records = n;
-  double error_sum = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    error_sum += ReconstructionErrorSq(snapshot->shards[0].pipeline,
-                                       dataset.Record(i));
-  }
   index.writer_->baseline_error = error_sum / static_cast<double>(n);
 
   ServingCoreOptions serving_options;
@@ -85,15 +83,17 @@ Result<DynamicReducedIndex> DynamicReducedIndex::Build(
   return index;
 }
 
-double DynamicReducedIndex::ReconstructionErrorSq(
+DynamicReducedIndex::ProjectedRecord DynamicReducedIndex::Project(
     const ReductionPipeline& pipeline, const Vector& record) {
   const PcaModel& model = pipeline.model();
   const Vector normalized = model.Normalize(record);
+  ProjectedRecord out;
+  out.reduced = model.ProjectNormalized(normalized, pipeline.components());
   // Energy identity: |normalized|^2 = |full coords|^2, so the error of
   // keeping only the retained components is |normalized|^2 - |kept|^2.
-  const Vector kept = model.Project(record, pipeline.components());
-  const double err = normalized.SquaredNorm2() - kept.SquaredNorm2();
-  return std::max(err, 0.0);
+  const double err = normalized.SquaredNorm2() - out.reduced.SquaredNorm2();
+  out.error_sq = std::max(err, 0.0);
+  return out;
 }
 
 Status DynamicReducedIndex::Insert(const Vector& record, int label) {
@@ -103,32 +103,24 @@ Status DynamicReducedIndex::Insert(const Vector& record, int label) {
   std::lock_guard<std::mutex> lock(writer_->mu);
   const std::shared_ptr<const EngineSnapshot> snapshot = serving_->snapshot();
   const SnapshotShard& shard = snapshot->shards[0];
-  // The shard-owned blocked rows are plain row-major with padding only
-  // after the last row, so rows [0, n) are one contiguous run.
-  const BlockedMatrix& old_reduced = *shard.rows;
-  const size_t n = snapshot->labels.size();
-  const size_t reduced_dims = old_reduced.cols();
+  const ProjectedRecord projected = Project(shard.pipeline, record);
 
-  // Copy-on-write: build the successor snapshot aside (extended originals,
-  // extended reduced rows, fresh index over them) and publish it atomically.
-  // In-flight queries keep the old snapshot alive until they finish.
+  // Build the successor snapshot aside and publish it atomically. The
+  // originals and the reduced rows grow by one appended row each: the row
+  // lands past every published view of the shared allocation, and the
+  // rows the current snapshot serves are never written, so in-flight
+  // queries finish on the old snapshot undisturbed.
   auto next = std::make_shared<EngineSnapshot>();
   next->metric = snapshot->metric;
-  next->labels = snapshot->labels;
+  next->labels.reserve(snapshot->labels.size() + 1);
+  next->labels.assign(snapshot->labels.begin(), snapshot->labels.end());
   next->labels.push_back(label);
-  next->originals = Matrix(n + 1, dims_);
-  std::copy(snapshot->originals.data(),
-            snapshot->originals.data() + n * dims_, next->originals.data());
-  std::copy(record.data(), record.data() + dims_, next->originals.RowPtr(n));
-  Matrix reduced(n + 1, reduced_dims);
-  std::copy(old_reduced.data(), old_reduced.data() + n * reduced_dims,
-            reduced.data());
-  const Vector projected = shard.pipeline.TransformPoint(record);
-  std::copy(projected.data(), projected.data() + reduced_dims,
-            reduced.RowPtr(n));
+  next->originals = std::make_shared<const BlockedMatrix>(
+      snapshot->originals->AppendRow(record));
   SnapshotShard next_shard;
   next_shard.pipeline = shard.pipeline;  // unchanged by inserts
-  next_shard.rows = std::make_shared<const BlockedMatrix>(reduced);
+  next_shard.rows = std::make_shared<const BlockedMatrix>(
+      shard.rows->AppendRow(projected.reduced));
   next_shard.index =
       std::make_unique<LinearScanIndex>(next_shard.rows, next->metric.get());
   next->shards.push_back(std::move(next_shard));
@@ -152,8 +144,7 @@ Status DynamicReducedIndex::Insert(const Vector& record, int label) {
     return published;
   }
 
-  writer_->recent_errors.push_back(
-      ReconstructionErrorSq(shard.pipeline, record));
+  writer_->recent_errors.push_back(projected.error_sq);
   while (writer_->recent_errors.size() > options_.drift_window) {
     writer_->recent_errors.pop_front();
   }
@@ -253,8 +244,7 @@ Status DynamicReducedIndex::Refit() {
           : nullptr);
   const std::shared_ptr<const EngineSnapshot> snapshot = serving_->snapshot();
   const size_t n = snapshot->labels.size();
-  Matrix features = snapshot->originals;
-  Dataset dataset(std::move(features));
+  Dataset dataset(snapshot->originals->ToMatrix());
   // Labels may be partially kNoLabel; the reduction does not need them.
 
   auto fail = [&](const Status& status) {
@@ -290,27 +280,23 @@ Status DynamicReducedIndex::Refit() {
   }();
   if (!pipeline.ok()) return fail(pipeline.status());
 
-  const size_t reduced_dims = pipeline->ReducedDims();
-  Matrix reduced(n, reduced_dims);
+  Matrix reduced(n, pipeline->ReducedDims());
+  double error_sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    reduced.SetRow(i, pipeline->TransformPoint(dataset.Record(i)));
+    const ProjectedRecord projected = Project(*pipeline, dataset.Record(i));
+    reduced.SetRow(i, projected.reduced);
+    error_sum += projected.error_sq;
   }
   auto next = std::make_shared<EngineSnapshot>();
   next->metric = snapshot->metric;
   next->labels = snapshot->labels;
-  next->originals = snapshot->originals;
+  next->originals = snapshot->originals;  // shared, not copied
   SnapshotShard next_shard;
   next_shard.pipeline = std::move(*pipeline);
   next_shard.rows = std::make_shared<const BlockedMatrix>(reduced);
   next_shard.index =
       std::make_unique<LinearScanIndex>(next_shard.rows, next->metric.get());
   next->shards.push_back(std::move(next_shard));
-
-  double error_sum = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    error_sum += ReconstructionErrorSq(next->shards[0].pipeline,
-                                       dataset.Record(i));
-  }
 
   Status published = serving_->Publish(std::move(next));
   if (!published.ok()) return fail(published);

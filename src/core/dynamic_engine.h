@@ -82,9 +82,11 @@ class DynamicReducedIndex {
 
   /// Inserts a record given in the original attribute space. `label` may be
   /// kNoLabel for unlabeled records. The record is immediately queryable:
-  /// the insert copy-on-writes a successor snapshot and publishes it, so
-  /// concurrent queries see either the old or the new state, never a torn
-  /// one.
+  /// the insert appends its original and reduced rows to storage shared
+  /// with the current snapshot (amortised O(d + d') row work, plus copies
+  /// of the labels and the fitted pipeline) and publishes a successor
+  /// snapshot one row longer, so concurrent queries see either the old or
+  /// the new state, never a torn one.
   Status Insert(const Vector& record, int label = kNoLabel);
 
   /// k nearest records (by the reduced-space metric) to an original-space
@@ -172,10 +174,16 @@ class DynamicReducedIndex {
  private:
   DynamicReducedIndex() = default;
 
-  /// Squared reconstruction error of an original-space record in the
-  /// pipeline's normalized space.
-  static double ReconstructionErrorSq(const ReductionPipeline& pipeline,
-                                      const Vector& record);
+  /// An original-space record's reduced coordinates (bitwise equal to
+  /// pipeline.TransformPoint) and its squared reconstruction error in the
+  /// pipeline's normalized space, from one normalization and one
+  /// projection.
+  struct ProjectedRecord {
+    Vector reduced;
+    double error_sq = 0.0;
+  };
+  static ProjectedRecord Project(const ReductionPipeline& pipeline,
+                                 const Vector& record);
 
   /// Drift-monitor and refit-backoff state, owned by the writer side and
   /// guarded by `mu` (readers of the serving snapshot never touch it).

@@ -24,9 +24,9 @@ namespace cohere {
 /// layer uses to pick which shards a query probes.
 struct SnapshotShard {
   ReductionPipeline pipeline;       ///< Fitted on the member records.
-  /// The reduced member rows in blocked (64-byte-aligned, zero-padded)
-  /// layout — the shard owns this one copy and the index references it, so
-  /// scan backends hold no private row storage.
+  /// The reduced member rows (64-byte-aligned row storage) — the shard owns
+  /// this one view and the index references it, so scan backends hold no
+  /// private row storage.
   std::shared_ptr<const BlockedMatrix> rows;
   std::unique_ptr<KnnIndex> index;  ///< Over `rows`.
   std::vector<size_t> members;      ///< Global row per local row; empty = id.
@@ -55,8 +55,10 @@ struct EngineSnapshot {
   std::vector<int> labels;
 
   /// Original-space records, kept only by engines that need them after
-  /// build (the dynamic engine's refit and drift paths). Empty otherwise.
-  Matrix originals;
+  /// build (the dynamic engine's refit path); null otherwise. The dynamic
+  /// engine's successive snapshots share one growable allocation (see
+  /// BlockedMatrix::AppendRow).
+  std::shared_ptr<const BlockedMatrix> originals;
 
   /// Global z-score transform and the studentized copies of every record;
   /// present on multi-locality snapshots, where routing and full-space

@@ -45,8 +45,7 @@ class LinearScanIndex final : public KnnIndex {
   size_t dims() const override { return rows_->cols(); }
   std::string name() const override { return "linear_scan"; }
 
-  /// The indexed rows. The dynamic engine's copy-on-write insert path reads
-  /// these to extend the reduced matrix without re-projecting every record.
+  /// The indexed rows (a prefix view; see BlockedMatrix).
   const BlockedMatrix& data() const { return *rows_; }
   /// Shared handle to the indexed rows (successor indexes alias it).
   const std::shared_ptr<const BlockedMatrix>& shared_data() const {

@@ -1,107 +1,75 @@
 #ifndef COHERE_LINALG_BLOCKED_MATRIX_H_
 #define COHERE_LINALG_BLOCKED_MATRIX_H_
 
-#include <algorithm>
 #include <cstddef>
-#include <new>
-#include <vector>
+#include <memory>
 
-#include "common/check.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 
 namespace cohere {
 
-/// Minimal aligned allocator so BlockedMatrix storage can live in a plain
-/// std::vector (keeping value semantics) while guaranteeing the base-pointer
-/// alignment the SIMD scan kernels want.
-template <typename T, size_t Alignment>
-struct AlignedAllocator {
-  using value_type = T;
-
-  AlignedAllocator() = default;
-  template <typename U>
-  AlignedAllocator(const AlignedAllocator<U, Alignment>&) {}
-
-  T* allocate(size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{Alignment}));
-  }
-  void deallocate(T* p, size_t) noexcept {
-    ::operator delete(p, std::align_val_t{Alignment});
-  }
-
-  template <typename U>
-  struct rebind {
-    using other = AlignedAllocator<U, Alignment>;
-  };
-
-  friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {
-    return true;
-  }
-};
-
-/// Contiguous, 64-byte-aligned, block-padded row storage for scan kernels.
+/// Row storage for scan kernels: an immutable prefix view over a shared,
+/// 64-byte-aligned, append-only allocation.
 ///
-/// Rows keep the plain row-major order of Matrix (`RowPtr(i) == data() +
-/// i * cols()`), but the allocation is rounded up to whole blocks of
-/// kRowsPerBlock rows and the padding rows are zero-filled. A kernel may
-/// therefore always read complete SIMD row-groups from anywhere inside the
-/// padded region without running off the allocation; results computed for
-/// padding lanes are simply discarded by the caller.
+/// Rows are plain row-major (`RowPtr(i) == data() + i * cols()`) and the
+/// base pointer is 64-byte aligned. A view covers rows [0, rows()) of its
+/// allocation; those rows are never written again once the view exists, so
+/// copies of a view (and views handed to other threads through a snapshot
+/// publish) can be read without synchronization. Nothing reads at or past
+/// `rows()`: the allocation's spare capacity is neither initialized nor
+/// touched, and every block kernel finishes a partial row group with a
+/// scalar tail.
 ///
-/// A snapshot shard owns one BlockedMatrix (via shared_ptr) and every index
-/// built over that shard references it, so publishing a snapshot no longer
-/// duplicates the reduced dataset once per backend.
+/// A snapshot shard owns one view (via shared_ptr) and every index built
+/// over that shard references it, so publishing a snapshot does not
+/// duplicate the reduced dataset once per backend. The dynamic engine grows
+/// its rows with AppendRow, so successive snapshots share one allocation.
 class BlockedMatrix {
  public:
-  /// Rows per block. 16 rows of 8 doubles span exactly 16 cache lines at
-  /// d = 8; every whole block starts 64-byte aligned whenever cols() is a
-  /// multiple of 8.
-  static constexpr size_t kRowsPerBlock = 16;
   static constexpr size_t kAlignment = 64;
 
   BlockedMatrix() = default;
-  /// Copies the rows of `m` into blocked storage.
+  /// Copies the rows of `m` into a new allocation of exactly m.rows() rows.
   explicit BlockedMatrix(const Matrix& m);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0; }
 
-  /// Rows including the zero-filled block padding at the end.
-  size_t padded_rows() const {
-    return cols_ == 0 ? 0 : data_.size() / cols_;
-  }
-  size_t num_blocks() const {
-    return (rows_ + kRowsPerBlock - 1) / kRowsPerBlock;
-  }
-  /// Logical (unpadded) rows in block `b`.
-  size_t BlockRows(size_t b) const {
-    return std::min(kRowsPerBlock, rows_ - b * kRowsPerBlock);
-  }
-
-  const double* data() const { return data_.data(); }
-  const double* RowPtr(size_t i) const { return data_.data() + i * cols_; }
-  const double* BlockPtr(size_t b) const {
-    return data_.data() + b * kRowsPerBlock * cols_;
-  }
+  const double* data() const { return data_; }
+  const double* RowPtr(size_t i) const { return data_ + i * cols_; }
   /// Unchecked element access (inner-loop use, mirrors Matrix::At).
   double At(size_t i, size_t j) const { return data_[i * cols_ + j]; }
 
   /// Copies row `i` into a Vector.
   Vector Row(size_t i) const;
-  /// Copies the logical (unpadded) rows back into a Matrix — used by
-  /// copy-on-write growth paths that extend a snapshot's dataset.
+  /// Copies the rows of this view into a Matrix (the dynamic engine's
+  /// refit hands the originals to ReductionPipeline::Fit this way).
   Matrix ToMatrix() const;
 
-  /// Bytes held by the padded allocation.
-  size_t MemoryBytes() const { return data_.size() * sizeof(double); }
+  /// Writer-side growth: returns a view of rows() + 1 rows whose last row is
+  /// `row` (which must have cols() entries); this view is unchanged.
+  ///
+  /// When this view ends at the last row written into its allocation and
+  /// capacity remains, `row` goes into the next free slot and the result
+  /// shares the allocation — O(cols()). Otherwise (an exact-size allocation,
+  /// a full one, or a view that another append already extended) the rows
+  /// are copied into a new allocation of twice as many rows, mapped from
+  /// the OS so its spare rows cost no resident memory until written. The free slot is claimed
+  /// atomically, so two appends to views of one allocation never write the
+  /// same row.
+  BlockedMatrix AppendRow(const Vector& row) const;
 
  private:
+  struct Storage;
+
+  BlockedMatrix(std::shared_ptr<Storage> storage, size_t rows, size_t cols);
+
+  std::shared_ptr<Storage> storage_;
   size_t rows_ = 0;
   size_t cols_ = 0;
-  std::vector<double, AlignedAllocator<double, kAlignment>> data_;
+  const double* data_ = nullptr;  // storage_'s first row
 };
 
 }  // namespace cohere

@@ -225,7 +225,12 @@ Matrix PcaModel::TransformRows(const Matrix& data) const {
 
 Vector PcaModel::Project(const Vector& point,
                          const std::vector<size_t>& components) const {
-  const Vector normalized = Normalize(point);
+  return ProjectNormalized(Normalize(point), components);
+}
+
+Vector PcaModel::ProjectNormalized(
+    const Vector& normalized, const std::vector<size_t>& components) const {
+  COHERE_CHECK_EQ(normalized.size(), dims());
   Vector out(components.size());
   for (size_t c = 0; c < components.size(); ++c) {
     COHERE_CHECK_LT(components[c], dims());

@@ -95,6 +95,10 @@ class PcaModel {
                  const std::vector<size_t>& components) const;
   Matrix ProjectRows(const Matrix& data,
                      const std::vector<size_t>& components) const;
+  /// Project() of a point Normalize() has already mapped: lets a caller
+  /// that also needs the normalized point compute it once.
+  Vector ProjectNormalized(const Vector& normalized,
+                           const std::vector<size_t>& components) const;
 
   /// Maps reduced coordinates back to the original attribute space (undoing
   /// scaling and centering); the lost components are filled with the mean.

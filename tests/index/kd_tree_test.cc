@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "../test_util.h"
 #include "index/linear_scan.h"
 
@@ -80,6 +82,11 @@ struct KnnCase {
   size_t d;
   size_t k;
 };
+
+void PrintTo(const KnnCase& c, std::ostream* os) {
+  testing_util::PrintBytesWithZeroedPadding(c, sizeof(c.metric),
+                                            offsetof(KnnCase, n), os);
+}
 
 class KdTreeAgreementTest : public ::testing::TestWithParam<KnnCase> {};
 

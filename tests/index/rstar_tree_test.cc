@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "../test_util.h"
 #include "index/linear_scan.h"
 
@@ -83,6 +85,11 @@ struct RStarCase {
   size_t k;
   size_t max_entries;
 };
+
+void PrintTo(const RStarCase& c, std::ostream* os) {
+  testing_util::PrintBytesWithZeroedPadding(c, sizeof(c.metric),
+                                            offsetof(RStarCase, n), os);
+}
 
 class RStarAgreementTest : public ::testing::TestWithParam<RStarCase> {};
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "../test_util.h"
 #include "index/linear_scan.h"
 
@@ -77,6 +79,11 @@ struct VaCase {
   size_t k;
   size_t bits;
 };
+
+void PrintTo(const VaCase& c, std::ostream* os) {
+  testing_util::PrintBytesWithZeroedPadding(c, sizeof(c.metric),
+                                            offsetof(VaCase, n), os);
+}
 
 class VaFileAgreementTest : public ::testing::TestWithParam<VaCase> {};
 

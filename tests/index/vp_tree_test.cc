@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "../test_util.h"
 #include "index/linear_scan.h"
 
@@ -76,6 +78,11 @@ struct VpCase {
   size_t k;
   size_t leaf;
 };
+
+void PrintTo(const VpCase& c, std::ostream* os) {
+  testing_util::PrintBytesWithZeroedPadding(c, sizeof(c.metric),
+                                            offsetof(VpCase, n), os);
+}
 
 class VpTreeAgreementTest : public ::testing::TestWithParam<VpCase> {};
 

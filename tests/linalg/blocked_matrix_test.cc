@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "../test_util.h"
 
@@ -16,8 +17,6 @@ TEST(BlockedMatrixTest, EmptyMatrix) {
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(b.rows(), 0u);
   EXPECT_EQ(b.cols(), 0u);
-  EXPECT_EQ(b.num_blocks(), 0u);
-  EXPECT_EQ(b.padded_rows(), 0u);
 }
 
 TEST(BlockedMatrixTest, PreservesValuesAndShape) {
@@ -53,32 +52,6 @@ TEST(BlockedMatrixTest, SixtyFourByteAlignment) {
             0u);
 }
 
-TEST(BlockedMatrixTest, PadsToWholeBlocksWithZeros) {
-  Rng rng(17);
-  const size_t rows = 18;  // 2 blocks of 16: 14 rows of padding
-  BlockedMatrix b(RandomMatrix(rows, 4, &rng));
-  EXPECT_EQ(b.num_blocks(), 2u);
-  EXPECT_EQ(b.padded_rows(), 32u);
-  EXPECT_EQ(b.BlockRows(0), 16u);
-  EXPECT_EQ(b.BlockRows(1), 2u);
-  const double* pad_begin = b.data() + rows * b.cols();
-  const double* pad_end = b.data() + b.padded_rows() * b.cols();
-  for (const double* p = pad_begin; p < pad_end; ++p) {
-    EXPECT_EQ(*p, 0.0);
-  }
-}
-
-TEST(BlockedMatrixTest, BlockPtrAddressesWholeBlocks) {
-  Rng rng(19);
-  const Matrix m = RandomMatrix(33, 6, &rng);
-  BlockedMatrix b(m);
-  EXPECT_EQ(b.num_blocks(), 3u);
-  for (size_t blk = 0; blk < b.num_blocks(); ++blk) {
-    EXPECT_EQ(b.BlockPtr(blk),
-              b.RowPtr(blk * BlockedMatrix::kRowsPerBlock));
-  }
-}
-
 TEST(BlockedMatrixTest, ToMatrixRoundTrips) {
   Rng rng(23);
   const Matrix m = RandomMatrix(29, 9, &rng);
@@ -101,10 +74,104 @@ TEST(BlockedMatrixTest, RowCopiesOneRow) {
   for (size_t j = 0; j < 4; ++j) EXPECT_EQ(row[j], m.At(16, j));
 }
 
-TEST(BlockedMatrixTest, MemoryBytesCoversPadding) {
+// A view of `rows` rows grown one AppendRow at a time from a single-row
+// matrix, so its allocation has spare capacity past the view.
+BlockedMatrix GrownByAppends(const Matrix& m) {
+  Matrix first(1, m.cols());
+  first.SetRow(0, m.Row(0));
+  BlockedMatrix b(first);
+  for (size_t i = 1; i < m.rows(); ++i) b = b.AppendRow(m.Row(i));
+  return b;
+}
+
+void ExpectSameRows(const BlockedMatrix& b, const Matrix& m) {
+  ASSERT_EQ(b.rows(), m.rows());
+  ASSERT_EQ(b.cols(), m.cols());
+  for (size_t i = 0; i < m.rows(); ++i) {
+    for (size_t j = 0; j < m.cols(); ++j) {
+      EXPECT_EQ(b.At(i, j), m.At(i, j)) << "(" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(BlockedMatrixTest, AppendRowToExactSizeStorageCopiesOnce) {
   Rng rng(31);
-  BlockedMatrix b(RandomMatrix(5, 3, &rng));
-  EXPECT_EQ(b.MemoryBytes(), b.padded_rows() * b.cols() * sizeof(double));
+  const Matrix m = RandomMatrix(6, 3, &rng);
+  const Matrix extra = RandomMatrix(7, 3, &rng);
+  const BlockedMatrix exact(m);
+  const BlockedMatrix first = exact.AppendRow(extra.Row(0));
+  // The exact-size allocation is full, so the first append moves to a new
+  // one with room for twice the rows; the next five fill it in place.
+  EXPECT_NE(first.data(), exact.data());
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(first.data()) %
+                BlockedMatrix::kAlignment,
+            0u);
+  BlockedMatrix grown = first;
+  for (size_t i = 1; i < 6; ++i) {
+    grown = grown.AppendRow(extra.Row(i));
+    EXPECT_EQ(grown.data(), first.data()) << "append " << i;
+  }
+  EXPECT_NE(grown.AppendRow(extra.Row(6)).data(), first.data());
+
+  ExpectSameRows(exact, m);
+  ASSERT_EQ(grown.rows(), 12u);
+  for (size_t i = 0; i < 12; ++i) {
+    const Vector want = i < 6 ? m.Row(i) : extra.Row(i - 6);
+    for (size_t j = 0; j < 3; ++j) EXPECT_EQ(grown.At(i, j), want[j]);
+  }
+}
+
+TEST(BlockedMatrixTest, AppendRowLeavesEveryEarlierViewUnchanged) {
+  Rng rng(37);
+  const Matrix m = RandomMatrix(40, 5, &rng);
+  std::vector<BlockedMatrix> views;
+  Matrix first(1, m.cols());
+  first.SetRow(0, m.Row(0));
+  views.emplace_back(first);
+  for (size_t i = 1; i < m.rows(); ++i) {
+    views.push_back(views.back().AppendRow(m.Row(i)));
+  }
+  for (size_t v = 0; v < views.size(); ++v) {
+    ASSERT_EQ(views[v].rows(), v + 1);
+    for (size_t i = 0; i <= v; ++i) {
+      for (size_t j = 0; j < m.cols(); ++j) {
+        EXPECT_EQ(views[v].At(i, j), m.At(i, j));
+      }
+    }
+  }
+}
+
+TEST(BlockedMatrixTest, SecondAppendToOneViewForksIntoNewStorage) {
+  Rng rng(41);
+  const Matrix m = RandomMatrix(5, 4, &rng);
+  const Matrix extra = RandomMatrix(2, 4, &rng);
+  const BlockedMatrix base = GrownByAppends(m);  // capacity 8: room left
+  const BlockedMatrix a = base.AppendRow(extra.Row(0));
+  const BlockedMatrix b = base.AppendRow(extra.Row(1));
+  // `a` took the free slot; `b` must not overwrite it.
+  EXPECT_EQ(a.data(), base.data());
+  EXPECT_NE(b.data(), base.data());
+  for (size_t j = 0; j < 4; ++j) {
+    EXPECT_EQ(a.At(5, j), extra.At(0, j));
+    EXPECT_EQ(b.At(5, j), extra.At(1, j));
+  }
+  ExpectSameRows(base, m);
+  for (size_t i = 0; i < 5; ++i) {
+    for (size_t j = 0; j < 4; ++j) EXPECT_EQ(b.At(i, j), m.At(i, j));
+  }
+}
+
+TEST(BlockedMatrixTest, AppendRowGrowsAnEmptyMatrix) {
+  const BlockedMatrix empty(Matrix(0, 3));
+  Vector row(3);
+  row[0] = 1.0;
+  row[1] = -2.0;
+  row[2] = 0.5;
+  const BlockedMatrix one = empty.AppendRow(row);
+  ASSERT_EQ(one.rows(), 1u);
+  ASSERT_EQ(one.cols(), 3u);
+  for (size_t j = 0; j < 3; ++j) EXPECT_EQ(one.At(0, j), row[j]);
+  EXPECT_TRUE(empty.empty());
 }
 
 }  // namespace

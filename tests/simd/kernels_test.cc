@@ -10,6 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "linalg/blocked_matrix.h"
+#include "linalg/matrix.h"
+#include "linalg/vector.h"
 #include "simd/dispatch.h"
 #include "stats/rng.h"
 
@@ -285,6 +288,73 @@ TEST(SimdKernelParityTest, MultiQueryBlockMatchesSingleQueryBitwise) {
           EXPECT_TRUE(BitEqual(multi[qi * n_rows + r], single[r]))
               << LevelName(level) << " qi=" << qi << " r=" << r;
         }
+      }
+    }
+  }
+}
+
+// The BlockedMatrix contract: nothing reads at or past rows(). A view grown
+// by AppendRow keeps spare capacity after its last row; with that capacity
+// filled with NaN rows, every block kernel must return the bits it returns
+// over an exact-size heap copy of the same rows (which ASan bounds).
+TEST(SimdKernelParityTest, BlockKernelsNeverReadPastTheLastRow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const size_t n_queries = 3;
+  for (size_t d : {size_t{1}, size_t{3}, size_t{8}, size_t{13}}) {
+    for (size_t n_rows : {size_t{3}, size_t{5}, size_t{6}, size_t{9},
+                          size_t{10}, size_t{11}, size_t{17}, size_t{18},
+                          size_t{19}}) {
+      const uint64_t seed = 3000 + d * 131 + n_rows;
+      const std::vector<double> values =
+          FillValues(n_rows * d, seed, /*with_specials=*/false);
+      BlockedMatrix view{Matrix(0, d)};
+      for (size_t r = 0; r < n_rows; ++r) {
+        view = view.AppendRow(Vector(std::vector<double>(
+            values.begin() + r * d, values.begin() + (r + 1) * d)));
+      }
+      const Vector poison(d, nan);
+      BlockedMatrix poisoned = view;
+      for (BlockedMatrix next = view.AppendRow(poison);
+           next.data() == view.data(); next = next.AppendRow(poison)) {
+        poisoned = next;
+      }
+      ASSERT_GT(poisoned.rows(), n_rows) << "no spare capacity to poison";
+      ASSERT_TRUE(std::isnan(poisoned.At(n_rows, 0)));
+      const std::vector<double> exact(view.data(),
+                                      view.data() + n_rows * d);
+
+      const std::vector<double> queries =
+          FillValues(n_queries * d, seed + 1, /*with_specials=*/false);
+      const double* q = queries.data();
+      for (Level level : AvailableLevels()) {
+        const KernelTable& k = KernelsFor(level);
+        std::vector<double> got(n_queries * n_rows);
+        std::vector<double> want(n_queries * n_rows);
+        auto expect_same = [&](const char* kernel, size_t count) {
+          for (size_t i = 0; i < count; ++i) {
+            EXPECT_TRUE(BitEqual(got[i], want[i]))
+                << LevelName(level) << " " << kernel << " d=" << d
+                << " n_rows=" << n_rows << " i=" << i;
+          }
+        };
+        k.l2_block(q, view.data(), n_rows, d, got.data());
+        k.l2_block(q, exact.data(), n_rows, d, want.data());
+        expect_same("l2", n_rows);
+        k.l1_block(q, view.data(), n_rows, d, got.data());
+        k.l1_block(q, exact.data(), n_rows, d, want.data());
+        expect_same("l1", n_rows);
+        k.linf_block(q, view.data(), n_rows, d, got.data());
+        k.linf_block(q, exact.data(), n_rows, d, want.data());
+        expect_same("linf", n_rows);
+        k.cosine_block(q, view.data(), n_rows, d, got.data());
+        k.cosine_block(q, exact.data(), n_rows, d, want.data());
+        expect_same("cosine", n_rows);
+        k.fractional_block(q, view.data(), n_rows, d, 0.5, got.data());
+        k.fractional_block(q, exact.data(), n_rows, d, 0.5, want.data());
+        expect_same("fractional", n_rows);
+        k.l2_multi_block(q, n_queries, view.data(), n_rows, d, got.data());
+        k.l2_multi_block(q, n_queries, exact.data(), n_rows, d, want.data());
+        expect_same("l2_multi", got.size());
       }
     }
   }

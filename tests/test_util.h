@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <ostream>
+#include <type_traits>
+
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 #include "stats/rng.h"
@@ -63,6 +68,21 @@ inline void ExpectVectorNear(const Vector& a, const Vector& b, double tol) {
 inline void ExpectOrthonormalColumns(const Matrix& m, double tol) {
   const Matrix gram = MultiplyTransposeA(m, m);
   ExpectMatrixNear(gram, Matrix::Identity(m.cols()), tol);
+}
+
+/// Prints a test-parameter struct as gtest's default byte dump, with the
+/// padding bytes [pad_begin, pad_end) shown as zero. gtest_discover_tests names
+/// each parameterised case after this dump, and padding is never initialised,
+/// so a dump of the raw object put stray stack and heap address bytes into the
+/// name and renamed the case from build to build.
+template <typename T>
+void PrintBytesWithZeroedPadding(const T& value, size_t pad_begin,
+                                 size_t pad_end, std::ostream* os) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  std::fill(bytes + pad_begin, bytes + pad_end, static_cast<unsigned char>(0));
+  ::testing::internal::PrintBytesInObjectTo(bytes, sizeof(T), os);
 }
 
 }  // namespace testing_util
