@@ -147,23 +147,31 @@ printf '1.0,2.0,3.5\n2.0,2.5,3.0\n0.5,1.5,4.0\n3.0,2.0,2.5\n1.5,2.2,3.1\n' \
   --query-log "$BENCH_TMP/queries.jsonl" \
   --metrics openmetrics --metrics-out "$BENCH_TMP/metrics.om" >/dev/null
 python3 "$ROOT/scripts/check_openmetrics.py" "$BENCH_TMP/metrics.om"
-python3 - "$BENCH_TMP/explain.json" "$BENCH_TMP/queries.jsonl" <<'EOF'
+# The same query through TryQuery (admission on) must capture a profile too.
+"$BUILD_DIR/tools/cohere_cli" query "$BENCH_TMP/flight.csv" --row 0 --k 2 \
+  --admission --explain --explain-out "$BENCH_TMP/explain_admission.json" \
+  >/dev/null
+python3 - "$BENCH_TMP/queries.jsonl" \
+    "$BENCH_TMP/explain.json" "$BENCH_TMP/explain_admission.json" <<'EOF'
 import json, sys
-profile = json.load(open(sys.argv[1]))  # must round-trip as strict JSON
-for key in ("scope", "totals", "phases", "latency_us", "cache_hit"):
-    assert key in profile, f"explain profile missing {key!r}"
-for counter in ("distance_evaluations", "nodes_visited", "candidates_refined"):
-    total = profile["totals"][counter]
-    phase_sum = sum(p[counter] for p in profile["phases"])
-    assert phase_sum == total, (
-        f"explain {counter}: phases sum to {phase_sum}, totals say {total}")
-events = [json.loads(line) for line in open(sys.argv[2]) if line.strip()]
+for path in sys.argv[2:]:
+    profile = json.load(open(path))  # must round-trip as strict JSON
+    for key in ("scope", "totals", "phases", "latency_us", "cache_hit"):
+        assert key in profile, f"{path}: explain profile missing {key!r}"
+    for counter in ("distance_evaluations", "nodes_visited",
+                    "candidates_refined"):
+        total = profile["totals"][counter]
+        phase_sum = sum(p[counter] for p in profile["phases"])
+        assert phase_sum == total, (
+            f"{path}: explain {counter}: phases sum to {phase_sum}, "
+            f"totals say {total}")
+events = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
 assert events, "query log is empty"
 for event in events:
     for key in ("scope", "sequence", "latency_us", "distance_evaluations"):
         assert key in event, f"query-log event missing {key!r}"
-print(f"flight recorder OK: explain phases sum to totals, "
-      f"{len(events)} query-log events")
+print(f"flight recorder OK: explain phases sum to totals with and without "
+      f"admission, {len(events)} query-log events")
 EOF
 echo "==> tier-1: flight recorder OK (openmetrics strict-parsed, explain sums, log drained)"
 

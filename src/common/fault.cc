@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "common/logging.h"
+#include "common/splitmix64.h"
 #include "common/string_util.h"
 
 namespace cohere {
@@ -15,15 +16,6 @@ namespace {
 // Number of currently-armed points. Constant-initialized so AnyArmed() is
 // safe during static initialization from any TU.
 std::atomic<int> g_armed_count{0};
-
-// SplitMix64: deterministic, statistically strong enough for probability
-// draws, and stateless per draw so concurrent draws need no lock.
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 struct Registry {
   std::mutex mu;

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/fault.h"
+#include "common/splitmix64.h"
 
 namespace cohere {
 namespace {
@@ -15,15 +16,6 @@ uint64_t SteadyNowUs() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-// Same generator the fault layer uses for its probability draws: stateless
-// per draw, so the jitter stream replays exactly for a fixed seed.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
 }
 
 }  // namespace

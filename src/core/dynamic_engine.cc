@@ -73,11 +73,8 @@ Result<DynamicReducedIndex> DynamicReducedIndex::Build(
   index.writer_->baseline_error = error_sum / static_cast<double>(n);
 
   ServingCoreOptions serving_options;
+  static_cast<ServingOptions&>(serving_options) = options;
   serving_options.scope = "dynamic_index";
-  serving_options.default_deadline_us = options.query_deadline_us;
-  serving_options.cache_budget_bytes = options.cache_budget_bytes;
-  serving_options.explain = options.explain;
-  serving_options.admission = options.admission;
   index.serving_ = std::make_unique<ServingCore>(serving_options);
   COHERE_CHECK(index.serving_->Publish(std::move(snapshot)).ok());
   return index;

@@ -18,8 +18,9 @@
 
 namespace cohere {
 
-/// Options for DynamicReducedIndex::Build.
-struct DynamicEngineOptions {
+/// Options for DynamicReducedIndex::Build (the serving fields are
+/// inherited from ServingOptions).
+struct DynamicEngineOptions : ServingOptions {
   ReductionOptions reduction;
   MetricKind metric = MetricKind::kEuclidean;
   double metric_p = 0.5;
@@ -29,21 +30,6 @@ struct DynamicEngineOptions {
   double drift_threshold = 1.5;
   /// Number of most recent insertions in the drift estimate.
   size_t drift_window = 100;
-  /// Default wall-clock budget per Query (and per QueryBatch as a whole) in
-  /// microseconds; 0 disables. Per-call QueryLimits override it.
-  double query_deadline_us = 0.0;
-  /// Query-result cache budget in bytes (see EngineOptions). Entries are
-  /// keyed on the snapshot version, so every Insert/Refit publish
-  /// implicitly invalidates — stale versions age out via eviction.
-  size_t cache_budget_bytes = 0;
-  /// Capture a per-query EXPLAIN profile for every serial Query (see
-  /// ServingCoreOptions::explain). Off by default.
-  bool explain = false;
-  /// Overload policy (admission control, load shedding, brownout, circuit
-  /// breaker; see core/admission.h). Disabled by default — the query path
-  /// stays bit-identical to the pre-admission code. With it enabled use
-  /// serving().TryQuery() as the rejectable entry point.
-  AdmissionOptions admission;
   /// Retry discipline for the insert path's snapshot publish: a publish
   /// that fails (e.g. an injected `core.snapshot.publish` fault) is retried
   /// up to `insert_retry.max_attempts` times with jittered backoff, bounded

@@ -133,11 +133,8 @@ Result<ReducedSearchEngine> ReducedSearchEngine::Build(
   if (dataset.HasLabels()) snapshot->labels = dataset.labels();
 
   ServingCoreOptions serving_options;
+  static_cast<ServingOptions&>(serving_options) = options;
   serving_options.scope = "engine";
-  serving_options.default_deadline_us = options.query_deadline_us;
-  serving_options.cache_budget_bytes = options.cache_budget_bytes;
-  serving_options.explain = options.explain;
-  serving_options.admission = options.admission;
   engine.serving_ = std::make_unique<ServingCore>(serving_options);
   // The initial publish of a handle never fails (the fault point only
   // covers replacement publishes).

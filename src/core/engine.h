@@ -26,8 +26,9 @@ enum class IndexBackend {
 
 const char* IndexBackendName(IndexBackend backend);
 
-/// Options for ReducedSearchEngine::Build.
-struct EngineOptions {
+/// Options for ReducedSearchEngine::Build (the serving fields are
+/// inherited from ServingOptions).
+struct EngineOptions : ServingOptions {
   ReductionOptions reduction;
   IndexBackend backend = IndexBackend::kKdTree;
   MetricKind metric = MetricKind::kEuclidean;
@@ -59,32 +60,6 @@ struct EngineOptions {
   /// configuration (the `COHERE_TRACE_SLOW_US` environment variable, else
   /// disabled); like num_threads, the most recently built engine wins.
   double trace_slow_query_us = 0.0;
-  /// Default wall-clock budget per Query (and per QueryBatch as a whole) in
-  /// microseconds; 0 disables. When the budget runs out the index traversal
-  /// stops at its next control check (every QueryControl::kCheckInterval
-  /// distance evaluations) and the best neighbors found so far come back
-  /// with `QueryStats::truncated` set — a bounded-time partial answer
-  /// instead of an unbounded exact one. Per-call QueryLimits override this
-  /// default.
-  double query_deadline_us = 0.0;
-  /// Byte budget for the engine's query-result cache, requested from the
-  /// process-wide cache::CacheManager (which may rebalance it when a global
-  /// COHERE_CACHE_BUDGET cap is set). 0 — the default — disables caching
-  /// and keeps the query path bit-identical to the cache-free code. With a
-  /// budget, repeated queries are served from entries keyed on
-  /// (snapshot version, metric, query fingerprint, k, probes); a truncated
-  /// (deadline/cancel) answer is never cached.
-  size_t cache_budget_bytes = 0;
-  /// Capture a per-query EXPLAIN profile for every serial Query (see
-  /// ServingCoreOptions::explain); read the latest one via
-  /// serving().LastProfile(). Off by default.
-  bool explain = false;
-  /// Overload policy: admission control, load shedding, brownout, circuit
-  /// breaker (see core/admission.h). Disabled by default — the query path
-  /// stays bit-identical to the pre-admission code. With it enabled, use
-  /// serving().TryQuery() for the Status-returning (rejectable) entry
-  /// point; the plain Query() overloads bypass admission.
-  AdmissionOptions admission;
 };
 
 /// The library's top-level facade: fits a coherence-driven dimensionality

@@ -117,13 +117,10 @@ Result<LocalReducedSearchEngine> LocalReducedSearchEngine::Build(
   if (!snapshot.ok()) return snapshot.status();
 
   ServingCoreOptions serving_options;
+  static_cast<ServingOptions&>(serving_options) = options;
   serving_options.scope = "local_engine";
-  serving_options.default_deadline_us = options.query_deadline_us;
   serving_options.probe_shards = options.probe_clusters;
   serving_options.rerank_multi_probe = true;
-  serving_options.cache_budget_bytes = options.cache_budget_bytes;
-  serving_options.explain = options.explain;
-  serving_options.admission = options.admission;
   engine.serving_ = std::make_unique<ServingCore>(serving_options);
   COHERE_CHECK(engine.serving_->Publish(std::move(*snapshot)).ok());
 

@@ -15,8 +15,9 @@
 
 namespace cohere {
 
-/// Options for LocalReducedSearchEngine::Build.
-struct LocalEngineOptions {
+/// Options for LocalReducedSearchEngine::Build (the serving fields are
+/// inherited from ServingOptions; cache keys include probe_clusters).
+struct LocalEngineOptions : ServingOptions {
   /// Number of data localities.
   size_t num_clusters = 4;
   /// Subspace dimensionality used by the projected clustering.
@@ -35,22 +36,6 @@ struct LocalEngineOptions {
   MetricKind metric = MetricKind::kEuclidean;
   double metric_p = 0.5;
   uint64_t seed = 1;
-  /// Default wall-clock budget per Query (and per QueryBatch as a whole) in
-  /// microseconds; 0 disables. Per-call QueryLimits override it.
-  double query_deadline_us = 0.0;
-  /// Query-result cache budget in bytes (see EngineOptions). Keys include
-  /// probe_clusters, and a Rebuild's new snapshot version implicitly
-  /// invalidates every cached answer.
-  size_t cache_budget_bytes = 0;
-  /// Capture a per-query EXPLAIN profile for every serial Query (see
-  /// ServingCoreOptions::explain). Off by default.
-  bool explain = false;
-  /// Overload policy (admission control, load shedding, brownout, circuit
-  /// breaker; see core/admission.h). Disabled by default — the query path
-  /// stays bit-identical to the pre-admission code. With it enabled use
-  /// serving().TryQuery() as the rejectable entry point; under brownout the
-  /// controller caps effective probes before shedding.
-  AdmissionOptions admission;
 };
 
 /// The Section 3.1 extension the paper sketches: when the *global* implicit

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -137,25 +138,19 @@ std::vector<Neighbor> KnnIndex::QueryWithControl(const Vector& query,
                                                  size_t k, size_t skip_index,
                                                  QueryStats* stats,
                                                  QueryControl* control) const {
+  // Each sink gates itself: the span records only while the tracer is on,
+  // and the clock is read only while the registry records latency.
   const bool metrics = obs::MetricsRegistry::Enabled();
-  if (!metrics && !obs::Tracer::Enabled()) {
-    // Metrics and tracing off: byte-for-byte the uninstrumented path, no
-    // timing and no span bookkeeping.
-    std::vector<Neighbor> out = QueryImpl(query, k, skip_index, stats, control);
-    if (control != nullptr && control->stopped() && stats != nullptr) {
-      stats->truncated = true;
-    }
-    return out;
-  }
   obs::TraceSpan span(TraceName());
   span.AddArg("k", static_cast<double>(k));
   QueryStats local;
-  Stopwatch watch;
+  std::optional<Stopwatch> watch;
+  if (metrics) watch.emplace();
   std::vector<Neighbor> out = QueryImpl(query, k, skip_index, &local, control);
   if (control != nullptr && control->stopped()) local.truncated = true;
   if (metrics) {
     Instrument().Record(local.distance_evaluations, local.nodes_visited,
-                        local.candidates_refined, watch.ElapsedMicros(),
+                        local.candidates_refined, watch->ElapsedMicros(),
                         local.truncated);
     if (control != nullptr && control->deadline_exceeded()) {
       CountDeadlineExceeded();
@@ -169,51 +164,20 @@ std::vector<Neighbor> KnnIndex::QueryWithControl(const Vector& query,
 }
 
 std::vector<std::vector<Neighbor>> KnnIndex::QueryBatch(
-    const Matrix& queries, size_t k, QueryStats* stats) const {
-  const size_t n = queries.rows();
-  std::vector<std::vector<Neighbor>> out(n);
-  if (n == 0) return out;
-  COHERE_CHECK_EQ(queries.cols(), dims());
-
-  const size_t chunks = ParallelChunkCount(n, kBatchGrain);
-  std::vector<QueryStats> partial(stats != nullptr ? chunks : 0);
-  ParallelForIndexed(0, n, kBatchGrain,
-                     [&](size_t chunk, size_t begin, size_t end) {
-    QueryStats* local = stats != nullptr ? &partial[chunk] : nullptr;
-    Vector query(queries.cols());
-    for (size_t i = begin; i < end; ++i) {
-      const double* src = queries.RowPtr(i);
-      std::copy(src, src + queries.cols(), query.data());
-      out[i] = Query(query, k, kNoSkip, local);
-    }
-  });
-  if (stats != nullptr) {
-    for (const QueryStats& p : partial) stats->MergeFrom(p);
-  }
-  return out;
-}
-
-std::vector<std::vector<Neighbor>> KnnIndex::QueryBatch(
     const Matrix& queries, size_t k, QueryStats* stats,
     const QueryLimits& limits) const {
-  if (!limits.active()) return QueryBatch(queries, k, stats);
-
   const size_t n = queries.rows();
   std::vector<std::vector<Neighbor>> out(n);
   if (n == 0) return out;
   COHERE_CHECK_EQ(queries.cols(), dims());
 
-  // One absolute deadline for the whole batch: rows started after expiry
-  // stop at their first control check, so batch latency is bounded by the
-  // budget plus one check interval per pool lane.
-  const long long budget_us = QueryControl::DeadlineMicros(limits.deadline_us);
-  const bool has_deadline = budget_us > 0;
-  auto deadline = std::chrono::steady_clock::time_point::max();
-  if (has_deadline) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::microseconds(budget_us);
-  }
-
+  // One absolute deadline for the whole batch: every row copies this
+  // control (same expiry, fresh countdown), so rows started after expiry
+  // stop at their first control check and batch latency is bounded by the
+  // budget plus one check interval per pool lane. Inactive limits run each
+  // row with a null control, the exact unlimited path.
+  const QueryControl batch_control = QueryControl::FromLimits(limits);
+  const bool limited = limits.active();
   const size_t chunks = ParallelChunkCount(n, kBatchGrain);
   std::vector<QueryStats> partial(stats != nullptr ? chunks : 0);
   ParallelForIndexed(0, n, kBatchGrain,
@@ -223,8 +187,9 @@ std::vector<std::vector<Neighbor>> KnnIndex::QueryBatch(
     for (size_t i = begin; i < end; ++i) {
       const double* src = queries.RowPtr(i);
       std::copy(src, src + queries.cols(), query.data());
-      QueryControl control(limits.cancel, deadline, has_deadline);
-      out[i] = QueryWithControl(query, k, kNoSkip, local, &control);
+      QueryControl control = batch_control;
+      out[i] = QueryWithControl(query, k, kNoSkip, local,
+                                limited ? &control : nullptr);
     }
   });
   if (stats != nullptr) {

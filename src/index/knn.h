@@ -160,7 +160,9 @@ class KnnIndex {
   /// This is the instrumented entry point: it forwards to the backend's
   /// QueryImpl and, while obs::MetricsRegistry::Enabled(), publishes the
   /// per-query latency and work counters to the global registry under
-  /// `index.<name()>.*`. The registry totals accumulate exactly the
+  /// `index.<name()>.*`; while the tracer is enabled it emits an
+  /// `index.<name()>.query` span. Each sink is gated by its own switch and
+  /// none changes the answer. The registry totals accumulate exactly the
   /// `QueryStats` fields the `stats` out-param receives.
   std::vector<Neighbor> Query(const Vector& query, size_t k,
                               size_t skip_index, QueryStats* stats) const;
@@ -184,18 +186,16 @@ class KnnIndex {
   /// exactly Query(queries.Row(i), k): queries are independent, so the
   /// parallel path is bitwise identical to the serial one. When `stats` is
   /// non-null the per-thread counters are merged into it.
-  virtual std::vector<std::vector<Neighbor>> QueryBatch(
-      const Matrix& queries, size_t k, QueryStats* stats = nullptr) const;
-
-  /// QueryBatch under `limits`. The deadline is batch-wide: one absolute
-  /// expiry computed on entry and shared by every row (each row still keeps
-  /// its own check countdown), so a stalled batch returns within one check
+  ///
+  /// Under active `limits` the deadline is batch-wide: one absolute expiry
+  /// computed on entry and shared by every row (each row still keeps its
+  /// own check countdown), so a stalled batch returns within one check
   /// interval per in-flight row. Rows answered after expiry come back
   /// truncated (possibly empty); `stats->truncated` reports whether any row
   /// was cut short.
   std::vector<std::vector<Neighbor>> QueryBatch(
-      const Matrix& queries, size_t k, QueryStats* stats,
-      const QueryLimits& limits) const;
+      const Matrix& queries, size_t k, QueryStats* stats = nullptr,
+      const QueryLimits& limits = QueryLimits()) const;
 
   /// Number of indexed points.
   virtual size_t size() const = 0;

@@ -3,10 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/parallel.h"
-#include "obs/metrics.h"
-#include "obs/tracing.h"
-#include "simd/kernels.h"
 
 namespace cohere {
 namespace {
@@ -15,11 +11,6 @@ namespace {
 // large enough that the per-call virtual dispatch and kernel counter cost
 // vanish, small enough that the distance buffer lives on the stack.
 constexpr size_t kScanSpan = 256;
-
-// Queries per multi-query chunk in the batch fan-out. Matches the base
-// QueryBatch grain so chunk boundaries (and thus parallel scheduling
-// behaviour) are unchanged.
-constexpr size_t kBatchGrain = 4;
 
 }  // namespace
 
@@ -81,65 +72,6 @@ std::vector<Neighbor> LinearScanIndex::QueryImpl(const Vector& query, size_t k,
   std::vector<Neighbor> out = collector.Take();
   for (Neighbor& n : out) {
     n.distance = metric_->ComparableToActual(n.distance);
-  }
-  return out;
-}
-
-std::vector<std::vector<Neighbor>> LinearScanIndex::QueryBatch(
-    const Matrix& queries, size_t k, QueryStats* stats) const {
-  // The multi-query scan answers a whole chunk per pass over the data, so
-  // it cannot attribute latency to individual queries; while the registry
-  // (or tracer) is recording, take the base per-query instrumented path —
-  // the answers are bitwise identical either way.
-  if (obs::MetricsRegistry::Enabled() || obs::Tracer::Enabled() ||
-      metric_->kind() != MetricKind::kEuclidean) {
-    return KnnIndex::QueryBatch(queries, k, stats);
-  }
-
-  const size_t n_queries = queries.rows();
-  std::vector<std::vector<Neighbor>> out(n_queries);
-  if (n_queries == 0) return out;
-  COHERE_CHECK_EQ(queries.cols(), dims());
-
-  const size_t d = rows_->cols();
-  const size_t n = rows_->rows();
-  const auto& kernels = simd::ActiveKernels();
-  const size_t chunks = ParallelChunkCount(n_queries, kBatchGrain);
-  std::vector<QueryStats> partial(stats != nullptr ? chunks : 0);
-  ParallelForIndexed(0, n_queries, kBatchGrain,
-                     [&](size_t chunk, size_t begin, size_t end) {
-    const size_t chunk_queries = end - begin;
-    std::vector<KnnCollector> collectors(chunk_queries, KnnCollector(k));
-    double dist[kBatchGrain * kScanSpan];
-    for (size_t base = 0; base < n; base += kScanSpan) {
-      const size_t span = std::min(kScanSpan, n - base);
-      // One resident span serves every query of the chunk before the scan
-      // moves on — the block is loaded from memory once per chunk.
-      kernels.l2_multi_block(queries.RowPtr(begin), chunk_queries,
-                             rows_->RowPtr(base), span, d, dist);
-      for (size_t qi = 0; qi < chunk_queries; ++qi) {
-        const double* row_dist = dist + qi * span;
-        KnnCollector& collector = collectors[qi];
-        for (size_t r = 0; r < span; ++r) {
-          collector.Offer(base + r, row_dist[r]);
-        }
-      }
-    }
-    simd::CountKernel(simd::KernelId::kMultiBlock,
-                      (n + kScanSpan - 1) / kScanSpan);
-    for (size_t qi = 0; qi < chunk_queries; ++qi) {
-      std::vector<Neighbor> result = collectors[qi].Take();
-      for (Neighbor& nb : result) {
-        nb.distance = metric_->ComparableToActual(nb.distance);
-      }
-      out[begin + qi] = std::move(result);
-    }
-    if (stats != nullptr) {
-      partial[chunk].distance_evaluations += chunk_queries * n;
-    }
-  });
-  if (stats != nullptr) {
-    for (const QueryStats& p : partial) stats->MergeFrom(p);
   }
   return out;
 }

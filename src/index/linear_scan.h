@@ -15,7 +15,9 @@ namespace cohere {
 /// Scans run block-at-a-time over 64-byte-aligned BlockedMatrix storage
 /// through Metric::ComparableDistanceBlock, which dispatches to the SIMD
 /// kernel tier the CPU supports; results are bitwise identical to the
-/// historical per-row scalar scan at every dispatch level.
+/// historical per-row scalar scan at every dispatch level. Batches take
+/// KnnIndex::QueryBatch (one block scan per query): a multi-query kernel
+/// that loads each span once per chunk of queries measured no faster.
 class LinearScanIndex final : public KnnIndex {
  public:
   /// Indexes shard-owned blocked rows. `rows` is shared with the snapshot
@@ -31,16 +33,6 @@ class LinearScanIndex final : public KnnIndex {
                                   QueryControl* control) const override;
 
  public:
-  /// Batch override: fans whole query-blocks to the pool and scans each
-  /// chunk with the multi-query kernel (rows are loaded from cache once per
-  /// chunk rather than once per query). Results are bitwise identical to
-  /// per-query Query(); when metrics or tracing are enabled the base
-  /// per-query instrumented path runs instead so per-query latency
-  /// histograms stay faithful.
-  std::vector<std::vector<Neighbor>> QueryBatch(
-      const Matrix& queries, size_t k,
-      QueryStats* stats = nullptr) const override;
-
   size_t size() const override { return rows_->rows(); }
   size_t dims() const override { return rows_->cols(); }
   std::string name() const override { return "linear_scan"; }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "common/splitmix64.h"
 #include "obs/metrics.h"
 
 namespace cohere {
@@ -13,15 +14,6 @@ namespace obs {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// Same hash as the tracer's sampler: the decision for the i-th offered
-// event is a pure function of (seed, i).
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 }  // namespace
 

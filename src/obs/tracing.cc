@@ -11,6 +11,7 @@
 #include <set>
 
 #include "common/check.h"
+#include "common/splitmix64.h"
 
 namespace cohere {
 namespace obs {
@@ -21,15 +22,6 @@ using Clock = std::chrono::steady_clock;
 
 double MicrosSince(Clock::time_point since, Clock::time_point now) {
   return std::chrono::duration<double, std::micro>(now - since).count();
-}
-
-// SplitMix64: the sampling decision for the i-th root span hashes
-// (seed, i) so the captured set is reproducible under a fixed seed.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 // Per-thread span context. The parent stack holds the ids of the open

@@ -140,7 +140,6 @@ void CountKernel(KernelId id, uint64_t calls) {
       obs::MetricsRegistry::Global().GetCounter("simd.kernel.cosine_block"),
       obs::MetricsRegistry::Global().GetCounter(
           "simd.kernel.fractional_block"),
-      obs::MetricsRegistry::Global().GetCounter("simd.kernel.multi_block"),
       obs::MetricsRegistry::Global().GetCounter("simd.kernel.va_bounds"),
   };
   counters[static_cast<size_t>(id)]->Increment(calls);

@@ -47,15 +47,6 @@ struct KernelTable {
   void (*fractional_block)(const double* q, const double* rows, size_t n_rows,
                            size_t d, double p, double* out);
 
-  /// Multi-query-vs-block scan: out[qi * n_rows + r] = kernel(query qi,
-  /// row r). Queries are rows of `queries` at stride `d`. Iterates queries
-  /// over one resident block so the rows are loaded from cache once per
-  /// batch instead of once per query; per-query results match the
-  /// corresponding single-query block kernel bitwise.
-  void (*l2_multi_block)(const double* queries, size_t n_queries,
-                         const double* rows, size_t n_rows, size_t d,
-                         double* out);
-
   /// VA-file lower/upper bound scan over a flattened boundary table.
   /// `codes` holds n_rows contiguous rows of d uint8 cell codes; dimension
   /// j's cells+1 boundaries live at `boundaries + j * bstride`. Per row:
@@ -101,7 +92,6 @@ enum class KernelId : int {
   kLinfBlock,
   kCosineBlock,
   kFractionalBlock,
-  kMultiBlock,
   kVaBounds,
   kCount,
 };

@@ -147,16 +147,6 @@ void FractionalBlockAvx2(const double* q, const double* rows, size_t n_rows,
   }
 }
 
-void L2MultiBlockAvx2(const double* queries, size_t n_queries,
-                      const double* rows, size_t n_rows, size_t d,
-                      double* out) {
-  // Iterate queries over one resident row range: the rows stay hot in cache
-  // across the whole query batch.
-  for (size_t qi = 0; qi < n_queries; ++qi) {
-    Block<Accum::kL2>(queries + qi * d, rows, n_rows, d, out + qi * n_rows);
-  }
-}
-
 enum class VaKind { kL2, kL1, kLinf };
 
 template <VaKind Kind>
@@ -313,7 +303,6 @@ const KernelTable& Avx2Kernels() {
   static const KernelTable table = {
       Block<Accum::kL2>,     Block<Accum::kL1>,   Block<Accum::kLinf>,
       Block<Accum::kCosine>, FractionalBlockAvx2,
-      L2MultiBlockAvx2,
       VaBounds<VaKind::kL2>, VaBounds<VaKind::kL1>,
       VaBounds<VaKind::kLinf>,
       L2PairFastAvx2,        L1PairFastAvx2,      LinfPairFastAvx2,

@@ -33,14 +33,6 @@ void FractionalBlockScalar(const double* q, const double* rows, size_t n_rows,
   }
 }
 
-void L2MultiBlockScalar(const double* queries, size_t n_queries,
-                        const double* rows, size_t n_rows, size_t d,
-                        double* out) {
-  for (size_t qi = 0; qi < n_queries; ++qi) {
-    L2BlockScalar(queries + qi * d, rows, n_rows, d, out + qi * n_rows);
-  }
-}
-
 void VaBoundsL2Scalar(const double* q, const uint8_t* codes, size_t n_rows,
                       size_t d, const double* boundaries, size_t bstride,
                       double* lb, double* ub) {
@@ -87,7 +79,6 @@ const KernelTable& ScalarKernels() {
   static const KernelTable table = {
       L2BlockScalar,      L1BlockScalar,     LinfBlockScalar,
       CosineBlockScalar,  FractionalBlockScalar,
-      L2MultiBlockScalar,
       VaBoundsL2Scalar,   VaBoundsL1Scalar,  VaBoundsLinfScalar,
       L2PairScalar,       L1PairScalar,      LinfPairScalar,
       CosinePairScalar,

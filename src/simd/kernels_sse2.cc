@@ -119,14 +119,6 @@ void FractionalBlockSse2(const double* q, const double* rows, size_t n_rows,
   }
 }
 
-void L2MultiBlockSse2(const double* queries, size_t n_queries,
-                      const double* rows, size_t n_rows, size_t d,
-                      double* out) {
-  for (size_t qi = 0; qi < n_queries; ++qi) {
-    Block<Accum::kL2>(queries + qi * d, rows, n_rows, d, out + qi * n_rows);
-  }
-}
-
 enum class VaKind { kL2, kL1, kLinf };
 
 template <VaKind Kind>
@@ -270,7 +262,6 @@ const KernelTable& Sse2Kernels() {
   static const KernelTable table = {
       Block<Accum::kL2>,     Block<Accum::kL1>,   Block<Accum::kLinf>,
       Block<Accum::kCosine>, FractionalBlockSse2,
-      L2MultiBlockSse2,
       VaBounds<VaKind::kL2>, VaBounds<VaKind::kL1>,
       VaBounds<VaKind::kLinf>,
       L2PairFastSse2,        L1PairFastSse2,      LinfPairFastSse2,

@@ -267,39 +267,12 @@ TEST(SimdKernelParityTest, ZeroVectorCosineRulesHold) {
   }
 }
 
-TEST(SimdKernelParityTest, MultiQueryBlockMatchesSingleQueryBitwise) {
-  for (Level level : AvailableLevels()) {
-    const KernelTable& k = KernelsFor(level);
-    for (size_t n_queries : {size_t{1}, size_t{3}, size_t{4}, size_t{5}}) {
-      const size_t d = 11;
-      const size_t n_rows = 21;
-      const std::vector<double> queries =
-          FillValues(n_queries * d, 201 + n_queries, /*with_specials=*/false);
-      const std::vector<double> rows =
-          FillValues(n_rows * d, 202, /*with_specials=*/true);
-      std::vector<double> multi(n_queries * n_rows);
-      k.l2_multi_block(queries.data(), n_queries, rows.data(), n_rows, d,
-                       multi.data());
-      std::vector<double> single(n_rows);
-      for (size_t qi = 0; qi < n_queries; ++qi) {
-        k.l2_block(queries.data() + qi * d, rows.data(), n_rows, d,
-                   single.data());
-        for (size_t r = 0; r < n_rows; ++r) {
-          EXPECT_TRUE(BitEqual(multi[qi * n_rows + r], single[r]))
-              << LevelName(level) << " qi=" << qi << " r=" << r;
-        }
-      }
-    }
-  }
-}
-
 // The BlockedMatrix contract: nothing reads at or past rows(). A view grown
 // by AppendRow keeps spare capacity after its last row; with that capacity
 // filled with NaN rows, every block kernel must return the bits it returns
 // over an exact-size heap copy of the same rows (which ASan bounds).
 TEST(SimdKernelParityTest, BlockKernelsNeverReadPastTheLastRow) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const size_t n_queries = 3;
   for (size_t d : {size_t{1}, size_t{3}, size_t{8}, size_t{13}}) {
     for (size_t n_rows : {size_t{3}, size_t{5}, size_t{6}, size_t{9},
                           size_t{10}, size_t{11}, size_t{17}, size_t{18},
@@ -323,15 +296,15 @@ TEST(SimdKernelParityTest, BlockKernelsNeverReadPastTheLastRow) {
       const std::vector<double> exact(view.data(),
                                       view.data() + n_rows * d);
 
-      const std::vector<double> queries =
-          FillValues(n_queries * d, seed + 1, /*with_specials=*/false);
-      const double* q = queries.data();
+      const std::vector<double> query =
+          FillValues(d, seed + 1, /*with_specials=*/false);
+      const double* q = query.data();
       for (Level level : AvailableLevels()) {
         const KernelTable& k = KernelsFor(level);
-        std::vector<double> got(n_queries * n_rows);
-        std::vector<double> want(n_queries * n_rows);
-        auto expect_same = [&](const char* kernel, size_t count) {
-          for (size_t i = 0; i < count; ++i) {
+        std::vector<double> got(n_rows);
+        std::vector<double> want(n_rows);
+        auto expect_same = [&](const char* kernel) {
+          for (size_t i = 0; i < n_rows; ++i) {
             EXPECT_TRUE(BitEqual(got[i], want[i]))
                 << LevelName(level) << " " << kernel << " d=" << d
                 << " n_rows=" << n_rows << " i=" << i;
@@ -339,22 +312,19 @@ TEST(SimdKernelParityTest, BlockKernelsNeverReadPastTheLastRow) {
         };
         k.l2_block(q, view.data(), n_rows, d, got.data());
         k.l2_block(q, exact.data(), n_rows, d, want.data());
-        expect_same("l2", n_rows);
+        expect_same("l2");
         k.l1_block(q, view.data(), n_rows, d, got.data());
         k.l1_block(q, exact.data(), n_rows, d, want.data());
-        expect_same("l1", n_rows);
+        expect_same("l1");
         k.linf_block(q, view.data(), n_rows, d, got.data());
         k.linf_block(q, exact.data(), n_rows, d, want.data());
-        expect_same("linf", n_rows);
+        expect_same("linf");
         k.cosine_block(q, view.data(), n_rows, d, got.data());
         k.cosine_block(q, exact.data(), n_rows, d, want.data());
-        expect_same("cosine", n_rows);
+        expect_same("cosine");
         k.fractional_block(q, view.data(), n_rows, d, 0.5, got.data());
         k.fractional_block(q, exact.data(), n_rows, d, 0.5, want.data());
-        expect_same("fractional", n_rows);
-        k.l2_multi_block(q, n_queries, view.data(), n_rows, d, got.data());
-        k.l2_multi_block(q, n_queries, exact.data(), n_rows, d, want.data());
-        expect_same("l2_multi", got.size());
+        expect_same("fractional");
       }
     }
   }
