@@ -260,14 +260,17 @@ else
   cmake -B "$UBSAN_DIR" -S "$ROOT" -DCOHERE_SANITIZE=undefined \
     -DCOHERE_BUILD_BENCHMARKS=OFF >/dev/null
   cmake --build "$UBSAN_DIR" -j "$(nproc)" --target stats_tests obs_tests \
-    simd_tests
+    simd_tests cluster_tests
 
-  echo "==> tier-1: stats + obs + simd suites under UBSAN"
+  echo "==> tier-1: stats + obs + simd + projected-clustering suites under UBSAN"
   "$UBSAN_DIR/tests/stats_tests"
   "$UBSAN_DIR/tests/obs_tests"
   # The kernel suite feeds denormals/inf/NaN through every vector path;
   # UBSan would flag any misaligned load or bad pointer arithmetic there.
   "$UBSAN_DIR/tests/simd_tests"
+  # The projected clustering indexes its d x d moment and l x d basis
+  # buffers by hand.
+  "$UBSAN_DIR/tests/cluster_tests" --gtest_filter='ProjectedClustering*'
 fi
 
 if [[ "${COHERE_SKIP_ASAN:-0}" == "1" ]]; then
@@ -277,7 +280,7 @@ else
   cmake -B "$ASAN_DIR" -S "$ROOT" -DCOHERE_SANITIZE=address \
     -DCOHERE_BUILD_BENCHMARKS=OFF >/dev/null
   cmake --build "$ASAN_DIR" -j "$(nproc)" --target common_tests core_tests \
-    reduction_tests integration_tests simd_tests linalg_tests
+    reduction_tests integration_tests simd_tests linalg_tests cluster_tests
 
   echo "==> tier-1: failure-path suites under ASAN"
   "$ASAN_DIR/tests/common_tests" --gtest_filter='Fault*:Parallel*'
@@ -289,6 +292,10 @@ else
   # reads past an exact-size allocation.
   "$ASAN_DIR/tests/simd_tests"
   "$ASAN_DIR/tests/linalg_tests" --gtest_filter='BlockedMatrix*'
+  # Hand-indexed d x d and l x d buffers: the projected clustering's merged
+  # moments and blocked projections, and the eigensolver's values-only path.
+  "$ASAN_DIR/tests/cluster_tests" --gtest_filter='ProjectedClustering*'
+  "$ASAN_DIR/tests/linalg_tests" --gtest_filter='SymmetricEigen*'
 fi
 
 echo "==> tier-1: fault-injection sweep (each point at probability 1.0)"

@@ -19,10 +19,13 @@ void HouseholderTridiagonalize(const Matrix& a, Matrix* z, Vector* d,
                                Vector* e) {
   COHERE_CHECK_EQ(a.rows(), a.cols());
   const size_t n = a.rows();
-  *z = a;
+  // The reduction works in place on a copy of `a`; without `z` that copy is
+  // scratch.
+  Matrix scratch;
+  Matrix& v = z != nullptr ? *z : scratch;
+  v = a;
   d->Resize(n);
   e->Resize(n);
-  Matrix& v = *z;
   Vector& dd = *d;
   Vector& ee = *e;
 
@@ -84,6 +87,15 @@ void HouseholderTridiagonalize(const Matrix& a, Matrix* z, Vector* d,
     dd[i] = h;
   }
 
+  if (z == nullptr) {
+    // The accumulation below parks each diagonal entry v(i, i) in row n - 1
+    // before touching it and reads the diagonal back from there, so reading
+    // it straight off the diagonal gives the same values.
+    for (size_t j = 0; j < n; ++j) dd[j] = v.At(j, j);
+    ee[0] = 0.0;
+    return;
+  }
+
   // Accumulate the transformations.
   for (size_t i = 0; i + 1 < n; ++i) {
     v.At(n - 1, i) = v.At(i, i);
@@ -110,12 +122,13 @@ void HouseholderTridiagonalize(const Matrix& a, Matrix* z, Vector* d,
 Status TridiagonalQl(Vector* d, Vector* e, Matrix* z) {
   const size_t n = d->size();
   COHERE_CHECK_EQ(e->size(), n);
-  COHERE_CHECK_EQ(z->rows(), n);
-  COHERE_CHECK_EQ(z->cols(), n);
+  if (z != nullptr) {
+    COHERE_CHECK_EQ(z->rows(), n);
+    COHERE_CHECK_EQ(z->cols(), n);
+  }
   if (n == 0) return Status::Ok();
   Vector& dd = *d;
   Vector& ee = *e;
-  Matrix& v = *z;
 
   for (size_t i = 1; i < n; ++i) ee[i - 1] = ee[i];
   ee[n - 1] = 0.0;
@@ -169,10 +182,13 @@ Status TridiagonalQl(Vector* d, Vector* e, Matrix* z) {
           p = c * dd[i] - s * g;
           dd[i + 1] = h + s * (c * g + s * dd[i]);
           // Rotate eigenvectors.
-          for (size_t k = 0; k < n; ++k) {
-            h = v.At(k, i + 1);
-            v.At(k, i + 1) = s * v.At(k, i) + c * h;
-            v.At(k, i) = c * v.At(k, i) - s * h;
+          if (z != nullptr) {
+            Matrix& v = *z;
+            for (size_t k = 0; k < n; ++k) {
+              h = v.At(k, i + 1);
+              v.At(k, i + 1) = s * v.At(k, i) + c * h;
+              v.At(k, i) = c * v.At(k, i) - s * h;
+            }
           }
         }
         p = -s * s2 * c3 * el1 * ee[l] / dl1;
@@ -186,7 +202,13 @@ Status TridiagonalQl(Vector* d, Vector* e, Matrix* z) {
   return Status::Ok();
 }
 
-Result<EigenDecomposition> SymmetricEigen(const Matrix& a) {
+namespace {
+
+// The body SymmetricEigen and SymmetricEigenvalues share: validates `a`,
+// diagonalizes it (accumulating eigenvectors into `*z` only when `z` is
+// non-null) and lists the eigenvalue indices in descending order.
+Status Diagonalize(const Matrix& a, Matrix* z, Vector* d,
+                   std::vector<size_t>* order) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("eigendecomposition requires a square matrix");
   }
@@ -198,23 +220,31 @@ Result<EigenDecomposition> SymmetricEigen(const Matrix& a) {
         "injected fault: " + std::string(fault::kPointSymmetricEigen));
   }
   const size_t n = a.rows();
-  if (n == 0) {
-    return EigenDecomposition{Vector(), Matrix()};
-  }
+  order->clear();
+  if (n == 0) return Status::Ok();
 
-  Matrix z;
-  Vector d;
   Vector e;
-  HouseholderTridiagonalize(a, &z, &d, &e);
-  Status ql = TridiagonalQl(&d, &e, &z);
+  HouseholderTridiagonalize(a, z, d, &e);
+  Status ql = TridiagonalQl(d, &e, z);
   if (!ql.ok()) return ql;
 
-  // Sort eigenpairs by descending eigenvalue.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&d](size_t x, size_t y) { return d[x] > d[y]; });
+  order->resize(n);
+  std::iota(order->begin(), order->end(), size_t{0});
+  std::sort(order->begin(), order->end(),
+            [d](size_t x, size_t y) { return (*d)[x] > (*d)[y]; });
+  return Status::Ok();
+}
 
+}  // namespace
+
+Result<EigenDecomposition> SymmetricEigen(const Matrix& a) {
+  Matrix z;
+  Vector d;
+  std::vector<size_t> order;
+  Status status = Diagonalize(a, &z, &d, &order);
+  if (!status.ok()) return status;
+
+  const size_t n = order.size();
   EigenDecomposition out;
   out.eigenvalues.Resize(n);
   out.eigenvectors = Matrix(n, n);
@@ -224,6 +254,17 @@ Result<EigenDecomposition> SymmetricEigen(const Matrix& a) {
       out.eigenvectors.At(i, j) = z.At(i, order[j]);
     }
   }
+  return out;
+}
+
+Result<Vector> SymmetricEigenvalues(const Matrix& a) {
+  Vector d;
+  std::vector<size_t> order;
+  Status status = Diagonalize(a, nullptr, &d, &order);
+  if (!status.ok()) return status;
+
+  Vector out(order.size());
+  for (size_t j = 0; j < order.size(); ++j) out[j] = d[order[j]];
   return out;
 }
 

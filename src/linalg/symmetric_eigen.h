@@ -25,9 +25,16 @@ struct EigenDecomposition {
 /// (pathological input) and InvalidArgument if `a` is not square/symmetric.
 Result<EigenDecomposition> SymmetricEigen(const Matrix& a);
 
-/// Reduces symmetric `a` to tridiagonal form, accumulating the orthogonal
-/// transformation. On return `*z` holds the accumulated transform, `*d` the
-/// diagonal, and `*e` the subdiagonal in e[1..n-1] (e[0] = 0).
+/// The eigenvalues of symmetric `a` alone, sorted descending: the same
+/// solver as SymmetricEigen with the eigenvector work skipped, so the result
+/// is bitwise equal to `SymmetricEigen(a)->eigenvalues`. Same checks, same
+/// errors, same fault point.
+Result<Vector> SymmetricEigenvalues(const Matrix& a);
+
+/// Reduces symmetric `a` to tridiagonal form. On return `*d` holds the
+/// diagonal and `*e` the subdiagonal in e[1..n-1] (e[0] = 0). When `z` is
+/// non-null it receives the accumulated orthogonal transform; a null `z`
+/// skips the accumulation and yields the same `*d` and `*e` bit for bit.
 ///
 /// Exposed for testing; most callers want SymmetricEigen.
 void HouseholderTridiagonalize(const Matrix& a, Matrix* z, Vector* d,
@@ -36,7 +43,8 @@ void HouseholderTridiagonalize(const Matrix& a, Matrix* z, Vector* d,
 /// Diagonalizes a symmetric tridiagonal matrix (diagonal `*d`, subdiagonal
 /// `*e` as produced by HouseholderTridiagonalize) with implicit-shift QL,
 /// rotating the columns of `*z` along. On success `*d` holds the unsorted
-/// eigenvalues and column j of `*z` the eigenvector for d[j].
+/// eigenvalues and column j of `*z` the eigenvector for d[j]. A null `z`
+/// skips the rotations; `*d` comes out the same.
 Status TridiagonalQl(Vector* d, Vector* e, Matrix* z);
 
 }  // namespace cohere

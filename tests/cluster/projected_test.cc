@@ -139,6 +139,36 @@ TEST(ProjectedClusteringTest, RejectsBadArguments) {
   EXPECT_FALSE(RunProjectedClustering(data, options).ok());
 }
 
+TEST(ProjectedClusteringTest, FewerDistinctRowsThanClustersYieldsFewerClusters) {
+  // 12 rows on 2 distinct points, k = 4: the over-seeded clusters collapse
+  // onto the two points and the empty ones are dropped, so 2 clusters come
+  // back, not 4.
+  Matrix data(12, 3);
+  for (size_t i = 0; i < 12; ++i) {
+    data.At(i, 0) = i % 2 == 0 ? 1.0 : -1.0;
+    data.At(i, 1) = i % 2 == 0 ? 2.0 : 0.5;
+  }
+  ProjectedClusteringOptions options;
+  options.num_clusters = 4;
+  options.subspace_dim = 2;
+  Result<ProjectedClusteringResult> result =
+      RunProjectedClustering(data, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->clusters.size(), 2u);
+  size_t total = 0;
+  for (const ProjectedCluster& cluster : result->clusters) {
+    ASSERT_FALSE(cluster.members.empty());
+    for (size_t member : cluster.members) {
+      EXPECT_EQ(member % 2, cluster.members[0] % 2);
+    }
+    total += cluster.members.size();
+  }
+  EXPECT_EQ(total, 12u);
+  for (size_t i = 0; i < 12; ++i) {
+    EXPECT_LT(result->assignment[i], result->clusters.size());
+  }
+}
+
 TEST(ProjectedClusteringTest, Deterministic) {
   Rng rng(304);
   Matrix data = TwoSubspacePopulations(40, &rng);

@@ -202,6 +202,34 @@ TEST(LocalEngineTest, RejectsBadOptions) {
   EXPECT_FALSE(LocalReducedSearchEngine::Build(data, options).ok());
 }
 
+TEST(LocalEngineTest, BuildsWithFewerDistinctRowsThanClusters) {
+  // 12 records on 2 distinct points, 4 clusters asked: the clustering
+  // returns 2 localities and the engine still answers k neighbours.
+  Matrix features(12, 3);
+  for (size_t i = 0; i < 12; ++i) {
+    features.At(i, 0) = i % 2 == 0 ? 1.0 : -1.0;
+    features.At(i, 1) = i % 2 == 0 ? 2.0 : 0.5;
+    features.At(i, 2) = i % 2 == 0 ? -3.0 : 4.0;
+  }
+  const Dataset data(features);
+  LocalEngineOptions options;
+  options.num_clusters = 4;
+  options.cluster_subspace_dim = 2;
+  Result<LocalReducedSearchEngine> engine =
+      LocalReducedSearchEngine::Build(data, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine->NumClusters(), 2u);
+  const size_t k = 4;
+  for (size_t q = 0; q < 2; ++q) {
+    EXPECT_EQ(engine->Query(data.Record(q), k).size(), k) << "row " << q;
+  }
+  const auto batch = engine->QueryBatch(features, k);
+  ASSERT_EQ(batch.size(), 12u);
+  for (size_t q = 0; q < batch.size(); ++q) {
+    EXPECT_EQ(batch[q].size(), k) << "row " << q;
+  }
+}
+
 TEST(LocalEngineTest, DescribeListsLocalities) {
   Dataset data = MixedPopulations(409);
   Result<LocalReducedSearchEngine> engine =

@@ -10,10 +10,12 @@
 #include <cstring>
 #include <vector>
 
+#include "cluster/projected.h"
 #include "core/dynamic_engine.h"
 #include "core/engine.h"
 #include "core/local_engine.h"
 #include "data/synthetic.h"
+#include "data/transforms.h"
 #include "data/uci_like.h"
 #include "simd/dispatch.h"
 
@@ -133,6 +135,99 @@ TEST(ServingSimdGoldenTest, LocalEngineBitIdenticalAtEveryLevel) {
           h, engine->Query(data.Record(q * 11 % data.NumRecords()), 5));
     }
     EXPECT_EQ(h, 0x3513a7c9bc68e92bULL) << simd::LevelName(level);
+  }
+}
+
+uint64_t HashDoubles(uint64_t h, const double* values, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t bits;
+    std::memcpy(&bits, &values[i], sizeof(bits));
+    h = Fnv(h, &bits, sizeof(bits));
+  }
+  return h;
+}
+
+// Every output of one clustering run: the assignment, each cluster's member
+// list, the bits of every centroid and basis entry, the energy and the
+// iteration count.
+uint64_t HashClustering(const ProjectedClusteringResult& result) {
+  uint64_t h = kFnvSeed;
+  for (size_t a : result.assignment) {
+    const uint64_t id = a;
+    h = Fnv(h, &id, sizeof(id));
+  }
+  for (const ProjectedCluster& cluster : result.clusters) {
+    const uint64_t size = cluster.members.size();
+    h = Fnv(h, &size, sizeof(size));
+    for (size_t m : cluster.members) {
+      const uint64_t id = m;
+      h = Fnv(h, &id, sizeof(id));
+    }
+    h = HashDoubles(h, cluster.centroid.data(), cluster.centroid.size());
+    h = HashDoubles(h, cluster.basis.data(),
+                    cluster.basis.rows() * cluster.basis.cols());
+  }
+  h = HashDoubles(h, &result.energy, 1);
+  const int64_t iterations = result.iterations;
+  return Fnv(h, &iterations, sizeof(iterations));
+}
+
+// Studentized latent-factor populations, the space the local engine
+// clusters in.
+Matrix StudentizedPopulations(size_t populations, size_t per_population,
+                              size_t d, uint64_t seed) {
+  MultiPopulationConfig config;
+  for (size_t p = 0; p < populations; ++p) {
+    LatentFactorConfig pop;
+    pop.num_records = per_population;
+    pop.num_attributes = d;
+    pop.num_concepts = 4;
+    pop.num_classes = 8;
+    pop.class_separation = 2.0;
+    pop.seed = seed * 31 + p + 1;
+    config.populations.push_back(pop);
+  }
+  config.seed = seed;
+  const Dataset dataset = GenerateMultiPopulation(config);
+  const Matrix& x = dataset.features();
+  return ColumnAffineTransform::FitZScore(x).ApplyToRows(x);
+}
+
+TEST(ServingSimdGoldenTest, ProjectedClusteringBitIdenticalAtEveryLevel) {
+  // Pinned before the merge search scored pairs from per-cluster moments:
+  // the clustering's fits and distances are bitwise what they were, and the
+  // merge sequence on these corpora did not move.
+  struct Case {
+    size_t per_population;
+    size_t d;
+    uint64_t seed;
+    uint64_t expected;
+  };
+  const Case cases[] = {
+      {300, 24, 1, 0x2457ee13d07a991cULL},
+      {300, 24, 2, 0x26b3e3c760d8551cULL},
+      {300, 24, 3, 0x5861367c0d9e387fULL},
+      // local_multiprobe's shape: 4 x 1000 rows, d = 48, l = 6, k = 4.
+      {1000, 48, 1, 0x5099b1f309629248ULL},
+  };
+  for (const Case& c : cases) {
+    const Matrix data = StudentizedPopulations(4, c.per_population, c.d,
+                                               c.seed);
+    ProjectedClusteringOptions options;
+    options.num_clusters = 4;
+    options.subspace_dim = 6;
+    options.seed = c.seed;
+    for (simd::Level level : AvailableLevels()) {
+      ScopedLevel scoped(level);
+      Result<ProjectedClusteringResult> result =
+          RunProjectedClustering(data, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const uint64_t h = HashClustering(*result);
+      EXPECT_EQ(h, c.expected)
+          << std::hex << "0x" << h << std::dec << " at "
+          << simd::LevelName(level) << ", " << c.per_population << " x "
+          << c.d << ", seed " << c.seed;
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 #include "common/parallel.h"
 #include "core/dynamic_engine.h"
 #include "core/engine.h"
+#include "core/local_engine.h"
 #include "data/arff.h"
 #include "data/csv.h"
 #include "data/synthetic.h"
@@ -316,6 +317,33 @@ TEST_F(FaultMatrixTest, EngineBuildSurvivesEigensolverFault) {
   Result<ReducedSearchEngine> engine =
       ReducedSearchEngine::Build(data, options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine->Query(data.Record(0), 3).size(), 3u);
+}
+
+TEST_F(FaultMatrixTest, LocalEngineBuildSurvivesEigensolverFault) {
+  // Every eigensolve fails: the projected clustering keeps its seed bases
+  // and scores every merge +inf, and each locality's pipeline fit rides the
+  // fallback chain, so the local engine still builds and answers.
+  MultiPopulationConfig config;
+  LatentFactorConfig pop;
+  pop.num_records = 120;
+  pop.num_attributes = 12;
+  pop.num_concepts = 3;
+  pop.seed = 1403;
+  config.populations.push_back(pop);
+  pop.seed = 1503;
+  config.populations.push_back(pop);
+  config.seed = 1404;
+  Dataset data = GenerateMultiPopulation(config);
+  LocalEngineOptions options;
+  options.num_clusters = 2;
+  options.cluster_subspace_dim = 4;
+  options.reduction.target_dim = 4;
+  fault::Arm(fault::kPointSymmetricEigen, 1.0);
+  Result<LocalReducedSearchEngine> engine =
+      LocalReducedSearchEngine::Build(data, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_GT(fault::Point(fault::kPointSymmetricEigen)->triggers(), 0u);
   EXPECT_EQ(engine->Query(data.Record(0), 3).size(), 3u);
 }
 
