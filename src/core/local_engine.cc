@@ -4,6 +4,10 @@
 #include <cstdio>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "cluster/kmeans.h"
 #include "cluster/projected.h"
 #include "common/stopwatch.h"
@@ -102,6 +106,14 @@ LocalReducedSearchEngine::BuildSnapshot(const Dataset& dataset,
         std::make_unique<LinearScanIndex>(shard.rows, snapshot->metric.get());
     snapshot->shards.push_back(std::move(shard));
   }
+  // The build has freed every locality's member-row copy and fit working
+  // matrices. glibc keeps freed heap pages resident, so a process that
+  // rebuilds would hold the heap's high-water mark, grown by however its
+  // earlier allocations happened to fragment it. Return the free pages so
+  // what stays resident after a build is the snapshot and the caller's data.
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
   return snapshot;
 }
 

@@ -365,10 +365,8 @@ std::vector<size_t> ServingCore::RouteShards(
     const SnapshotShard& shard = snapshot.shards[c];
     double dist;
     if (!shard.cluster_basis.empty()) {
-      ProjectedCluster view;
-      view.centroid = shard.centroid;
-      view.basis = shard.cluster_basis;
-      dist = ProjectedSquaredDistance(studentized_query, view);
+      dist = ProjectedSquaredDistance(studentized_query, shard.centroid,
+                                      shard.cluster_basis);
     } else {
       dist = (studentized_query - shard.centroid).SquaredNorm2();
     }

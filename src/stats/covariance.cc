@@ -44,28 +44,33 @@ Vector ColumnStdDevs(const Matrix& data) {
   return out;
 }
 
-Matrix CovarianceMatrix(const Matrix& data) {
-  const size_t n = data.rows();
-  const size_t d = data.cols();
-  COHERE_CHECK_GT(n, 0u);
-  const Vector means = ColumnMeans(data);
+namespace {
 
-  // Center into a scratch matrix, then form (1/N) X^T X with the rank-1
-  // kernel; this keeps the inner loops contiguous. The centering is
-  // element-wise (disjoint rows, exact under any partition) and the product
-  // parallelizes inside MultiplyTransposeA; the mean pass stays serial — it
-  // is O(nd) against the product's O(nd^2), and keeping it sequential keeps
-  // the accumulation order (and thus the result) independent of threading.
-  Matrix centered = data;
-  ParallelFor(0, n, /*grain=*/64, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      double* row = centered.RowPtr(i);
-      for (size_t j = 0; j < d; ++j) row[j] -= means[j];
+// (1/n) X^T X of the n rows row_at(0), ..., row_at(n - 1), each centred on
+// `means` as it is read rather than into an n x d copy, then
+// re-symmetrized to scrub accumulation asymmetry. Lanes own disjoint
+// stripes of output rows and walk the rows in order (every lane centres
+// every row), so each element accumulates its rank-1 terms in the same
+// order at any thread count; zero coordinates add nothing and are skipped.
+template <typename RowAt>
+Matrix CenteredGram(size_t n, const Vector& means, const RowAt& row_at) {
+  const size_t d = means.size();
+  const double* mu = means.data();
+  Matrix cov(d, d);
+  ParallelFor(0, d, /*grain=*/16, [&](size_t i_begin, size_t i_end) {
+    std::vector<double> centered(d);
+    for (size_t p = 0; p < n; ++p) {
+      const double* row = row_at(p);
+      for (size_t j = 0; j < d; ++j) centered[j] = row[j] - mu[j];
+      for (size_t i = i_begin; i < i_end; ++i) {
+        const double a_i = centered[i];
+        if (a_i == 0.0) continue;
+        double* cov_row = cov.RowPtr(i);
+        for (size_t j = 0; j < d; ++j) cov_row[j] += a_i * centered[j];
+      }
     }
   });
-  Matrix cov = MultiplyTransposeA(centered, centered);
   cov *= 1.0 / static_cast<double>(n);
-  // Re-symmetrize to scrub accumulation asymmetry.
   for (size_t i = 0; i < d; ++i) {
     for (size_t j = i + 1; j < d; ++j) {
       const double avg = 0.5 * (cov.At(i, j) + cov.At(j, i));
@@ -74,6 +79,31 @@ Matrix CovarianceMatrix(const Matrix& data) {
     }
   }
   return cov;
+}
+
+}  // namespace
+
+Matrix CovarianceMatrix(const Matrix& data) {
+  COHERE_CHECK_GT(data.rows(), 0u);
+  // The mean pass stays serial: it is O(nd) against the product's O(nd^2),
+  // and keeping it sequential keeps the accumulation order (and thus the
+  // result) independent of threading.
+  return CenteredGram(data.rows(), ColumnMeans(data),
+                      [&data](size_t p) { return data.RowPtr(p); });
+}
+
+Matrix RowSubsetCovariance(const Matrix& data,
+                           const std::vector<size_t>& rows) {
+  COHERE_CHECK_GT(rows.size(), 0u);
+  Vector means(data.cols());
+  for (size_t r : rows) {
+    COHERE_CHECK_LT(r, data.rows());
+    const double* row = data.RowPtr(r);
+    for (size_t j = 0; j < data.cols(); ++j) means[j] += row[j];
+  }
+  means /= static_cast<double>(rows.size());
+  return CenteredGram(rows.size(), means,
+                      [&](size_t p) { return data.RowPtr(rows[p]); });
 }
 
 Matrix CorrelationMatrix(const Matrix& data) {

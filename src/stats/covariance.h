@@ -1,6 +1,8 @@
 #ifndef COHERE_STATS_COVARIANCE_H_
 #define COHERE_STATS_COVARIANCE_H_
 
+#include <vector>
+
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 
@@ -16,6 +18,10 @@ Vector ColumnStdDevs(const Matrix& data);
 /// divide by N, matching the paper's definition where the trace equals the
 /// mean squared deviation from the centroid).
 Matrix CovarianceMatrix(const Matrix& data);
+
+/// CovarianceMatrix(data.SelectRows(rows)), bit for bit, without copying
+/// the rows. `rows` must be non-empty.
+Matrix RowSubsetCovariance(const Matrix& data, const std::vector<size_t>& rows);
 
 /// d x d correlation matrix. Columns with zero variance produce zero
 /// off-diagonal entries and a unit diagonal (the paper's recommendation is to

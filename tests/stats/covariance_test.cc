@@ -1,6 +1,7 @@
 #include "stats/covariance.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -144,6 +145,49 @@ TEST(CovarianceParallelTest, MatrixIsBitwiseIdenticalAcrossThreadCounts) {
   EXPECT_EQ(CovarianceMatrix(data), serial);
   EXPECT_EQ(CorrelationMatrix(data), corr_serial);
   SetParallelThreadCount(0);
+}
+
+// The covariance as a centred n x d copy and its MultiplyTransposeA
+// product, the formulation CovarianceMatrix must match bit for bit.
+Matrix CenteredCopyCovariance(const Matrix& data) {
+  const Vector means = ColumnMeans(data);
+  Matrix centered = data;
+  for (size_t i = 0; i < centered.rows(); ++i) {
+    for (size_t j = 0; j < centered.cols(); ++j) centered.At(i, j) -= means[j];
+  }
+  Matrix cov = MultiplyTransposeA(centered, centered);
+  cov *= 1.0 / static_cast<double>(data.rows());
+  for (size_t i = 0; i < cov.rows(); ++i) {
+    for (size_t j = i + 1; j < cov.cols(); ++j) {
+      const double avg = 0.5 * (cov.At(i, j) + cov.At(j, i));
+      cov.At(i, j) = avg;
+      cov.At(j, i) = avg;
+    }
+  }
+  return cov;
+}
+
+TEST(RowSubsetCovarianceTest, BitwiseEqualToCenteredCopyOfSelectedRows) {
+  Rng rng(311);
+  Matrix data = testing_util::RandomMatrix(120, 17, &rng);
+  // A constant column and small integer columns centre to exact zeros,
+  // which the product skips.
+  for (size_t i = 0; i < data.rows(); ++i) {
+    data.At(i, 3) = 2.5;
+    data.At(i, 9) = static_cast<double>(i % 3);
+  }
+  EXPECT_EQ(CovarianceMatrix(data), CenteredCopyCovariance(data));
+  const std::vector<std::vector<size_t>> lists = {
+      {7},
+      {4, 4},
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+      {119, 3, 58, 3, 77, 12, 0, 101, 64, 33, 90},
+  };
+  for (const std::vector<size_t>& rows : lists) {
+    EXPECT_EQ(RowSubsetCovariance(data, rows),
+              CenteredCopyCovariance(data.SelectRows(rows)))
+        << rows.size() << " rows";
+  }
 }
 
 }  // namespace
